@@ -91,6 +91,7 @@ const BasisConverter&
 CkksContext::modUpConverter(size_t digit, size_t level) const
 {
     auto key = std::make_pair(digit, level);
+    std::lock_guard<std::mutex> lock(cache_mu);
     auto it = modup_cache.find(key);
     if (it != modup_cache.end())
         return *it->second;
@@ -116,6 +117,7 @@ CkksContext::modUpConverter(size_t digit, size_t level) const
 const BasisConverter&
 CkksContext::modDownConverter(size_t level) const
 {
+    std::lock_guard<std::mutex> lock(cache_mu);
     auto it = moddown_cache.find(level);
     if (it != moddown_cache.end())
         return *it->second;
@@ -129,6 +131,7 @@ const BasisConverter&
 CkksContext::mergedModDownConverter(size_t level) const
 {
     MAD_REQUIRE(level >= 2, "merged ModDown needs at least two limbs");
+    std::lock_guard<std::mutex> lock(cache_mu);
     auto it = merged_cache.find(level);
     if (it != merged_cache.end())
         return *it->second;

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 
 #include "ckks/params.h"
 #include "ring/poly.h"
@@ -93,6 +94,10 @@ class CkksContext
     /** merged_inv[lvl][i] = (P*q_(lvl-1))^{-1} mod q_i (i < lvl-1). */
     std::vector<std::vector<u64>> merged_inv;
 
+    /** Guards the lazily built converter caches below: key switching
+     *  fetches converters from inside parallelFor workers. Map nodes
+     *  never move, so returned references stay valid unlocked. */
+    mutable std::mutex cache_mu;
     mutable std::map<std::pair<size_t, size_t>,
                      std::unique_ptr<BasisConverter>> modup_cache;
     mutable std::map<size_t, std::unique_ptr<BasisConverter>> moddown_cache;

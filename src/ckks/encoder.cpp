@@ -185,6 +185,7 @@ CkksEncoder::encodeRaised(const std::vector<std::complex<double>>& values,
 const CkksEncoder::CrtTables&
 CkksEncoder::crtTables(size_t level) const
 {
+    std::lock_guard<std::mutex> lock(cache_mu);
     auto it = crt_cache.find(level);
     if (it != crt_cache.end())
         return *it->second;

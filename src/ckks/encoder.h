@@ -10,6 +10,7 @@
 
 #include <complex>
 #include <map>
+#include <mutex>
 
 #include "ckks/context.h"
 #include "ckks/ciphertext.h"
@@ -74,6 +75,9 @@ class CkksEncoder
     std::vector<std::complex<double>> zeta;
     std::vector<u32> bitrev;
 
+    /** Guards crt_cache; map nodes never move, so returned references
+     *  stay valid unlocked. */
+    mutable std::mutex cache_mu;
     mutable std::map<size_t, std::unique_ptr<CrtTables>> crt_cache;
 };
 

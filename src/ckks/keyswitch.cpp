@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "memtrace/trace.h"
+#include "rns/simd/simd.h"
 #include "support/faultinject.h"
 #include "support/parallel.h"
 #include "telemetry/telemetry.h"
@@ -53,6 +54,21 @@ notePeakResident(size_t bytes)
            !peak.compare_exchange_weak(cur, b, std::memory_order_relaxed)) {
     }
     TELEM_GAUGE_SET("stream.peak_resident_bytes", std::max(b, cur));
+}
+
+/**
+ * ModDown's final subtract-and-scale over one kept limb:
+ * out[c] = (x[c] - corr[c]) * inv mod q. The difference is formed in
+ * place in `corr`, then scaled by the dispatched Shoup kernel.
+ */
+void
+subtractAndScale(const Modulus& q, const u64* x, u64* corr, u64 inv,
+                 u64* out, size_t n)
+{
+    for (size_t c = 0; c < n; ++c)
+        corr[c] = q.sub(x[c], corr[c]);
+    simd::kernels().mul_shoup_scalar(out, corr, n, inv,
+                                     q.shoupPrecompute(inv), q.value());
 }
 } // namespace
 
@@ -169,6 +185,7 @@ KeySwitcher::innerProduct(const std::vector<RnsPoly>& digits,
     // event, just grouped by position.
     MAD_TRACE_SCOPE("KskInnerProd");
     TELEM_SPAN("KskInnerProd");
+    const auto& K = simd::kernels();
     parallelFor(raised_basis.size(), [&](size_t i) {
         const u32 chain_idx = raised_basis[i];
         const Modulus& q = ctx->ring()->modulus(chain_idx);
@@ -188,10 +205,8 @@ KeySwitcher::innerProduct(const std::vector<RnsPoly>& digits,
             MAD_TRACE_READ(v, n * sizeof(u64));
             MAD_TRACE_WRITE(u, n * sizeof(u64));
             MAD_TRACE_WRITE(v, n * sizeof(u64));
-            for (size_t c = 0; c < n; ++c) {
-                u[c] = q.add(u[c], q.mul(dl[c], bl[c]));
-                v[c] = q.add(v[c], q.mul(dl[c], al[c]));
-            }
+            K.add_mul_mod_vec(u, dl, bl, n, q);
+            K.add_mul_mod_vec(v, dl, al, n, q);
         }
     });
     // Limb-sum spot check after the inner product: the accumulated (u, v)
@@ -242,15 +257,12 @@ KeySwitcher::modDown(const RnsPoly& x) const
     parallelFor(level, [&](size_t i) {
         const Modulus& q = ctx->ring()->modulus(i);
         ctx->ring()->ntt(i).forward(corr[i].data());
-        const u64 p_inv = ctx->pInvModQ(i);
-        const u64 p_inv_shoup = q.shoupPrecompute(p_inv);
         const u64* xi = x.limb(i);
         u64* oi = out.limb(i);
         MAD_TRACE_READ(xi, n * sizeof(u64));
         MAD_TRACE_READ(corr[i].data(), n * sizeof(u64));
         MAD_TRACE_WRITE(oi, n * sizeof(u64));
-        for (size_t c = 0; c < n; ++c)
-            oi[c] = q.mulShoup(q.sub(xi[c], corr[i][c]), p_inv, p_inv_shoup);
+        subtractAndScale(q, xi, corr[i].data(), ctx->pInvModQ(i), oi, n);
     });
     for (size_t i = 0; i < level; ++i)
         faultinject::guardLimb(g_fault_moddown, out.limb(i), n);
@@ -298,15 +310,13 @@ KeySwitcher::modDownMerged(const RnsPoly& x) const
     parallelFor(level - 1, [&](size_t i) {
         const Modulus& q = ctx->ring()->modulus(i);
         ctx->ring()->ntt(i).forward(corr[i].data());
-        const u64 inv = ctx->mergedInv(level, i);
-        const u64 inv_shoup = q.shoupPrecompute(inv);
         const u64* xi = x.limb(i);
         u64* oi = out.limb(i);
         MAD_TRACE_READ(xi, n * sizeof(u64));
         MAD_TRACE_READ(corr[i].data(), n * sizeof(u64));
         MAD_TRACE_WRITE(oi, n * sizeof(u64));
-        for (size_t c = 0; c < n; ++c)
-            oi[c] = q.mulShoup(q.sub(xi[c], corr[i][c]), inv, inv_shoup);
+        subtractAndScale(q, xi, corr[i].data(), ctx->mergedInv(level, i), oi,
+                         n);
     });
     for (size_t i = 0; i + 1 < level; ++i)
         faultinject::guardLimb(g_fault_moddown_merged, out.limb(i), n);
@@ -330,8 +340,8 @@ KeySwitcher::pModUp(const RnsPoly& y) const
         u64* oi = out.limb(i);
         MAD_TRACE_READ(yi, n * sizeof(u64));
         MAD_TRACE_WRITE(oi, n * sizeof(u64));
-        for (size_t c = 0; c < n; ++c)
-            oi[c] = q.mulShoup(yi[c], p_mod, p_shoup);
+        simd::kernels().mul_shoup_scalar(oi, yi, n, p_mod, p_shoup,
+                                         q.value());
     });
     for (size_t i = 0; i < level; ++i)
         faultinject::guardLimb(g_fault_pmodup, out.limb(i), n);
@@ -496,6 +506,7 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
     // ascending-j order (bit-identical to the materializing
     // innerProduct), then the optional merged P-lift — the same
     // per-coefficient op sequence RnsPoly::add(pModUp(d)) produces.
+    const auto& K = simd::kernels();
     auto macPosition = [&](size_t i, u64* uacc, u64* vacc, u64* scratch) {
         const u32 chain_idx = raised_basis[i];
         const Modulus& q = ctx->ring()->modulus(chain_idx);
@@ -529,25 +540,26 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
             const u64* al = ksk.a(j).limb(chain_idx);
             MAD_TRACE_READ(bl, limb_bytes);
             MAD_TRACE_READ(al, limb_bytes);
-            for (size_t c = 0; c < n; ++c) {
-                uacc[c] = q.add(uacc[c], q.mul(dl[c], bl[c]));
-                vacc[c] = q.add(vacc[c], q.mul(dl[c], al[c]));
-            }
+            K.add_mul_mod_vec(uacc, dl, bl, n, q);
+            K.add_mul_mod_vec(vacc, dl, al, n, q);
         }
         if (merged && chain_idx < level) {
             // PModUp fused into the accumulation; its P limbs are
             // identically zero (Algorithm 5, line 3), so only Q
-            // positions carry the lift.
+            // positions carry the lift. The digit scratch is free by now
+            // and holds each lifted limb before it is added.
             const u64 p_mod = ctx->pModQ(chain_idx);
             const u64 p_shoup = q.shoupPrecompute(p_mod);
             const u64* l0 = lift0->limb(chain_idx);
             const u64* l1 = lift1->limb(chain_idx);
             MAD_TRACE_READ(l0, limb_bytes);
             MAD_TRACE_READ(l1, limb_bytes);
-            for (size_t c = 0; c < n; ++c) {
-                uacc[c] = q.add(uacc[c], q.mulShoup(l0[c], p_mod, p_shoup));
-                vacc[c] = q.add(vacc[c], q.mulShoup(l1[c], p_mod, p_shoup));
-            }
+            K.mul_shoup_scalar(scratch, l0, n, p_mod, p_shoup, q.value());
+            for (size_t c = 0; c < n; ++c)
+                uacc[c] = q.add(uacc[c], scratch[c]);
+            K.mul_shoup_scalar(scratch, l1, n, p_mod, p_shoup, q.value());
+            for (size_t c = 0; c < n; ++c)
+                vacc[c] = q.add(vacc[c], scratch[c]);
         }
     };
 
@@ -583,13 +595,11 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
             ctx->ring()->ntt(i).forwardRaw(corr.data());
             const u64 inv = merged ? ctx->mergedInv(level, i)
                                    : ctx->pInvModQ(i);
-            const u64 inv_shoup = q.shoupPrecompute(inv);
             const u64* xi = rx.limb(i);
             u64* oi = out.limb(i);
             MAD_TRACE_READ(xi, limb_bytes);
             MAD_TRACE_WRITE(oi, limb_bytes);
-            for (size_t c = 0; c < n; ++c)
-                oi[c] = q.mulShoup(q.sub(xi[c], corr[c]), inv, inv_shoup);
+            subtractAndScale(q, xi, corr.data(), inv, oi, n);
         });
         for (size_t i = 0; i < kept; ++i)
             faultinject::guardLimb(g_fault_stream, out.limb(i), n);
@@ -661,19 +671,16 @@ KeySwitcher::streamKeySwitch(const RnsPoly& x, const SwitchingKey& ksk,
         std::vector<u64> uacc(n), vacc(n), scratch(n), corr(n);
         macPosition(i, uacc.data(), vacc.data(), scratch.data());
         const u64 inv = merged ? ctx->mergedInv(level, i) : ctx->pInvModQ(i);
-        const u64 inv_shoup = q.shoupPrecompute(inv);
         u64* ui = ou.limb(i);
         u64* vi = ov.limb(i);
         down_conv.accumulateScaledRaw(dpu, usu.data(), n, i, corr.data());
         ctx->ring()->ntt(i).forwardRaw(corr.data());
         MAD_TRACE_WRITE(ui, limb_bytes);
-        for (size_t c = 0; c < n; ++c)
-            ui[c] = q.mulShoup(q.sub(uacc[c], corr[c]), inv, inv_shoup);
+        subtractAndScale(q, uacc.data(), corr.data(), inv, ui, n);
         down_conv.accumulateScaledRaw(dpv, usv.data(), n, i, corr.data());
         ctx->ring()->ntt(i).forwardRaw(corr.data());
         MAD_TRACE_WRITE(vi, limb_bytes);
-        for (size_t c = 0; c < n; ++c)
-            vi[c] = q.mulShoup(q.sub(vacc[c], corr[c]), inv, inv_shoup);
+        subtractAndScale(q, vacc.data(), corr.data(), inv, vi, n);
     });
     TELEM_COUNT("stream.limbs_fused", 2 * r);
     TELEM_COUNT("stream.digit_cache.hits", (beta * r - level) + 2 * kept);

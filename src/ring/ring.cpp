@@ -57,6 +57,7 @@ const std::vector<u32>&
 RingContext::evalPermutation(u64 t) const
 {
     MAD_REQUIRE((t & 1) == 1 && t < 2 * n, "Galois element must be odd, < 2N");
+    std::lock_guard<std::mutex> lock(cache_mu);
     auto it = eval_perm_cache.find(t);
     if (it != eval_perm_cache.end())
         return it->second;
@@ -76,6 +77,7 @@ const CoeffAutomorphism&
 RingContext::coeffAutomorphism(u64 t) const
 {
     MAD_REQUIRE((t & 1) == 1 && t < 2 * n, "Galois element must be odd, < 2N");
+    std::lock_guard<std::mutex> lock(cache_mu);
     auto it = coeff_auto_cache.find(t);
     if (it != coeff_auto_cache.end())
         return it->second;

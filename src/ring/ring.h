@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "rns/basis.h"
@@ -81,6 +82,9 @@ class RingContext
      *  over the same primes reuse one table set. */
     std::vector<std::shared_ptr<const NttTables>> ntts;
 
+    /** Guards the lazily built permutation caches below; map nodes never
+     *  move, so returned references stay valid unlocked. */
+    mutable std::mutex cache_mu;
     mutable std::map<u64, std::vector<u32>> eval_perm_cache;
     mutable std::map<u64, CoeffAutomorphism> coeff_auto_cache;
 };

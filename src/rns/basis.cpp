@@ -65,6 +65,7 @@ BasisConverter::BasisConverter(const RnsBasis& from_, const RnsBasis& to_)
 
     punctured_mod.resize(to.size());
     q_mod_target.resize(to.size());
+    q_mod_target_shoup.resize(to.size());
     for (size_t j = 0; j < to.size(); ++j) {
         const Modulus& pj = to[j];
         punctured_mod[j].resize(from.size());
@@ -78,6 +79,7 @@ BasisConverter::BasisConverter(const RnsBasis& from_, const RnsBasis& to_)
             punctured_mod[j][i] = prod;
         }
         q_mod_target[j] = from.productMod(pj);
+        q_mod_target_shoup[j] = pj.shoupPrecompute(q_mod_target[j]);
     }
     inv_q.resize(from.size());
     for (size_t i = 0; i < from.size(); ++i)
@@ -97,30 +99,37 @@ BasisConverter::BasisConverter(const RnsBasis& from_, const RnsBasis& to_)
 namespace {
 
 /**
- * Accumulate sum_i scaled[i] * punct[i] mod p with lazy 128-bit carries.
+ * One coefficient chunk [begin, begin + len) of every source limb, scaled
+ * by (Q/q_i)^{-1} (scaleSourceRaw), with the SignedExact overshoot
+ * counts (overshootRaw): exactly the inputs accumulateScaledRaw()
+ * expects. The rows stay in cache while every target limb reads them.
  */
-u64
-accumulate(const u64* scaled, const u64* punct, size_t k, const Modulus& p)
+struct ScaledChunk
 {
-    // Flush every 16 terms, not more: each product is below 2^124 for
-    // moduli up to the 2^62 cap, so 16 of them stay under 2^128 while a
-    // 32-term window would silently wrap the 128-bit accumulator for
-    // primes within two bits of the cap.
-    u128 acc = 0;
-    size_t pending = 0;
-    u64 result = 0;
-    for (size_t i = 0; i < k; ++i) {
-        acc += static_cast<u128>(scaled[i]) * punct[i];
-        if (++pending == 16) {
-            result = p.add(result, p.reduce128(acc));
-            acc = 0;
-            pending = 0;
+    std::vector<u64> buf;
+    std::vector<const u64*> rows;
+    std::vector<u64> us;
+
+    ScaledChunk(const BasisConverter& conv, const std::vector<const u64*>& in,
+                size_t begin, size_t len, ConvMode mode)
+        : buf(in.size() * len)
+    {
+        for (size_t i = 0; i < in.size(); ++i) {
+            u64* row = buf.data() + i * len;
+            conv.scaleSourceRaw(in[i] + begin, len, i, row);
+            rows.push_back(row);
+        }
+        if (mode == ConvMode::SignedExact) {
+            us.resize(len);
+            conv.overshootRaw(rows, len, us.data());
         }
     }
-    if (pending)
-        result = p.add(result, p.reduce128(acc));
-    return result;
-}
+
+    const u64* overshootCounts() const
+    {
+        return us.empty() ? nullptr : us.data();
+    }
+};
 
 } // namespace
 
@@ -143,70 +152,14 @@ BasisConverter::convertLimbRaw(const std::vector<const u64*>& in, size_t n,
                                ConvMode mode) const
 {
     MAD_CHECK(in.size() == from.size(), "source limb count mismatch");
-    const Modulus& pj = to[target_idx];
-    const size_t k = from.size();
-
-    // Scale pass is recomputed per target limb to keep this entry point
-    // stateless; convert() amortizes it across all target limbs.
-    // Coefficients are independent, so split the index range across the
-    // pool; each chunk carries its own scale scratch. Vector backends
-    // process lane-width coefficient blocks: a k x W row-major scratch of
-    // scaled residues feeds the newlimb_acc kernel, with the long-double
-    // overshoot sum kept scalar and i-ascending so its rounding matches
-    // the scalar path bit-for-bit.
-    const auto& K = simd::kernels();
-    const size_t W = K.lanes;
+    // The scale pass is recomputed per target limb to keep this entry
+    // point stateless; convert() amortizes it across all target limbs.
+    // Coefficients are independent, so the index range is split across
+    // the pool and each chunk carries its own scaled scratch.
     parallelForRange(n, [&](size_t begin, size_t end) {
-        size_t c = begin;
-        if (W > 1) {
-            std::vector<u64> rows(k * W);
-            std::vector<u64> res(W);
-            for (; c + W <= end; c += W) {
-                for (size_t i = 0; i < k; ++i)
-                    K.mul_shoup_scalar(rows.data() + i * W, in[i] + c, W,
-                                       from.invPunctured(i),
-                                       from.invPuncturedShoup(i),
-                                       from[i].value());
-                K.newlimb_acc(rows.data(), W,
-                              punctured_mod[target_idx].data(), k,
-                              pj.value(), r64_target[target_idx],
-                              r64_shoup_target[target_idx],
-                              pre1_target[target_idx], res.data());
-                for (size_t l = 0; l < W; ++l) {
-                    u64 result = res[l];
-                    if (mode == ConvMode::SignedExact) {
-                        long double frac = 0.5L;
-                        for (size_t i = 0; i < k; ++i)
-                            frac += static_cast<long double>(rows[i * W + l]) *
-                                    inv_q[i];
-                        u64 u = static_cast<u64>(frac);
-                        result = pj.sub(result, pj.mul(pj.reduce(u),
-                                                 q_mod_target[target_idx]));
-                    }
-                    out[c + l] = result;
-                }
-            }
-        }
-        std::vector<u64> scaled(k);
-        for (; c < end; ++c) {
-            long double frac = 0.5L;
-            for (size_t i = 0; i < k; ++i) {
-                scaled[i] = from[i].mulShoup(in[i][c], from.invPunctured(i),
-                                             from.invPuncturedShoup(i));
-                frac += static_cast<long double>(scaled[i]) * inv_q[i];
-            }
-            u64 result = accumulate(scaled.data(),
-                                    punctured_mod[target_idx].data(), k, pj);
-            if (mode == ConvMode::SignedExact) {
-                // Subtract round(x/Q)*Q: sum_i scaled_i*Q_i^* = x + u*Q with
-                // u = floor(sum_i scaled_i/q_i); rounding the centered value
-                // means subtracting floor(sum + 0.5) copies of Q.
-                u64 u = static_cast<u64>(frac);
-                result = pj.sub(result,
-                                pj.mul(pj.reduce(u), q_mod_target[target_idx]));
-            }
-            out[c] = result;
-        }
+        const ScaledChunk chunk(*this, in, begin, end - begin, mode);
+        accumulateScaledRaw(chunk.rows, chunk.overshootCounts(), end - begin,
+                            target_idx, out + begin);
     });
 }
 
@@ -230,8 +183,8 @@ BasisConverter::overshootRaw(const std::vector<const u64*>& scaled, size_t n,
 {
     const size_t k = from.size();
     MAD_CHECK(scaled.size() == k, "source limb count mismatch");
-    // Kept scalar and i-ascending so the long-double rounding matches
-    // the in-convert overshoot sum bit-for-bit.
+    // Kept scalar and i-ascending: the long-double rounding is part of
+    // the output, so every caller must sum in the same order.
     for (size_t c = 0; c < n; ++c) {
         long double frac = 0.5L;
         for (size_t i = 0; i < k; ++i)
@@ -248,40 +201,17 @@ BasisConverter::accumulateScaledRaw(const std::vector<const u64*>& scaled,
     const size_t k = from.size();
     MAD_CHECK(scaled.size() == k, "source limb count mismatch");
     const Modulus& pj = to[target_idx];
-    const auto& K = simd::kernels();
-    const size_t W = K.lanes;
-    size_t c = 0;
-    if (W > 1) {
-        std::vector<u64> rows(k * W);
-        std::vector<u64> res(W);
-        for (; c + W <= n; c += W) {
-            for (size_t i = 0; i < k; ++i)
-                for (size_t l = 0; l < W; ++l)
-                    rows[i * W + l] = scaled[i][c + l];
-            K.newlimb_acc(rows.data(), W, punctured_mod[target_idx].data(),
-                          k, pj.value(), r64_target[target_idx],
-                          r64_shoup_target[target_idx],
-                          pre1_target[target_idx], res.data());
-            for (size_t l = 0; l < W; ++l) {
-                u64 result = res[l];
-                if (us != nullptr)
-                    result = pj.sub(result, pj.mul(pj.reduce(us[c + l]),
-                                                   q_mod_target[target_idx]));
-                out[c + l] = result;
-            }
-        }
-    }
-    std::vector<u64> sc(k);
-    for (; c < n; ++c) {
-        for (size_t i = 0; i < k; ++i)
-            sc[i] = scaled[i][c];
-        u64 result = accumulate(sc.data(), punctured_mod[target_idx].data(),
-                                k, pj);
-        if (us != nullptr)
-            result = pj.sub(result,
-                            pj.mul(pj.reduce(us[c]), q_mod_target[target_idx]));
-        out[c] = result;
-    }
+    const simd::Kernels& K = simd::kernels();
+    K.newlimb_acc(scaled.data(), n, punctured_mod[target_idx].data(), k,
+                  pj.value(), r64_target[target_idx],
+                  r64_shoup_target[target_idx], pre1_target[target_idx], out);
+    // Subtract round(x/Q)*Q: sum_i scaled_i*Q_i^* = x + u*Q with
+    // u = floor(sum_i scaled_i/q_i); rounding the centered value means
+    // subtracting floor(sum + 0.5) copies of Q. u * (Q mod p_j) is one
+    // Shoup multiply, exact for any 64-bit u.
+    if (us != nullptr)
+        for (size_t c = 0; c < n; ++c)
+            out[c] = pj.sub(out[c], overshoot(us[c], target_idx));
 }
 
 void
@@ -300,69 +230,14 @@ BasisConverter::convert(const std::vector<const u64*>& in, size_t n,
     for (size_t j = 0; j < out.size(); ++j)
         MAD_TRACE_WRITE(out[j], n * sizeof(u64));
 
-    // Process coefficient-by-coefficient (slot-wise access pattern): scale
-    // each source residue once, then accumulate into every target limb.
-    // Coefficient ranges are independent, so they fan out across the pool.
-    // Vector backends work on lane-width coefficient blocks through the
-    // same k x W scratch as convertLimb, reusing it across all targets.
-    const auto& K = simd::kernels();
-    const size_t W = K.lanes;
+    // Scale each source residue once per chunk, then accumulate the
+    // chunk into every target limb. Coefficient ranges are independent,
+    // so they fan out across the pool.
     parallelForRange(n, [&](size_t begin, size_t end) {
-        size_t c = begin;
-        if (W > 1) {
-            std::vector<u64> rows(k * W);
-            std::vector<u64> res(W);
-            std::vector<u64> us(W);
-            for (; c + W <= end; c += W) {
-                for (size_t i = 0; i < k; ++i)
-                    K.mul_shoup_scalar(rows.data() + i * W, in[i] + c, W,
-                                       from.invPunctured(i),
-                                       from.invPuncturedShoup(i),
-                                       from[i].value());
-                for (size_t l = 0; l < W; ++l) {
-                    long double frac = 0.5L;
-                    for (size_t i = 0; i < k; ++i)
-                        frac += static_cast<long double>(rows[i * W + l]) *
-                                inv_q[i];
-                    us[l] = static_cast<u64>(frac);
-                }
-                for (size_t j = 0; j < to.size(); ++j) {
-                    const Modulus& pj = to[j];
-                    K.newlimb_acc(rows.data(), W, punctured_mod[j].data(),
-                                  k, pj.value(), r64_target[j],
-                                  r64_shoup_target[j], pre1_target[j],
-                                  res.data());
-                    for (size_t l = 0; l < W; ++l) {
-                        u64 result = res[l];
-                        if (mode == ConvMode::SignedExact) {
-                            result = pj.sub(result, pj.mul(pj.reduce(us[l]),
-                                                     q_mod_target[j]));
-                        }
-                        out[j][c + l] = result;
-                    }
-                }
-            }
-        }
-        std::vector<u64> scaled(k);
-        for (; c < end; ++c) {
-            long double frac = 0.5L;
-            for (size_t i = 0; i < k; ++i) {
-                scaled[i] = from[i].mulShoup(in[i][c], from.invPunctured(i),
-                                             from.invPuncturedShoup(i));
-                frac += static_cast<long double>(scaled[i]) * inv_q[i];
-            }
-            u64 u = static_cast<u64>(frac);
-            for (size_t j = 0; j < to.size(); ++j) {
-                const Modulus& pj = to[j];
-                u64 result = accumulate(scaled.data(), punctured_mod[j].data(),
-                                        k, pj);
-                if (mode == ConvMode::SignedExact) {
-                    result = pj.sub(result,
-                                    pj.mul(pj.reduce(u), q_mod_target[j]));
-                }
-                out[j][c] = result;
-            }
-        }
+        const ScaledChunk chunk(*this, in, begin, end - begin, mode);
+        for (size_t j = 0; j < to.size(); ++j)
+            accumulateScaledRaw(chunk.rows, chunk.overshootCounts(),
+                                end - begin, j, out[j] + begin);
     });
     for (size_t j = 0; j < out.size(); ++j)
         faultinject::guardLimb(g_fault_basis, out[j], n);

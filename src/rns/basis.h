@@ -131,12 +131,22 @@ class BasisConverter
                              u64* out) const;
 
   private:
+    /** u * Q mod p_j, the SignedExact correction subtracted from target
+     *  limb j. One Shoup multiply, exact and canonical for any u. */
+    u64
+    overshoot(u64 u, size_t j) const
+    {
+        return to[j].mulShoup(u, q_mod_target[j], q_mod_target_shoup[j]);
+    }
+
     RnsBasis from;
     RnsBasis to;
     /** punctured_mod[j][i] = (Q/q_i) mod p_j. */
     std::vector<std::vector<u64>> punctured_mod;
-    /** Q mod p_j, for the overshoot correction. */
+    /** Q mod p_j and its Shoup preconditioner, for the overshoot
+     *  correction u * Q mod p_j (Shoup is exact for any 64-bit u). */
     std::vector<u64> q_mod_target;
+    std::vector<u64> q_mod_target_shoup;
     /** 1/q_i as long double, for the overshoot estimate. */
     std::vector<long double> inv_q;
     /** 2^64 mod p_j, its Shoup preconditioner, and floor(2^64 / p_j):

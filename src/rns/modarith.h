@@ -27,19 +27,23 @@ class Modulus
     u64 value() const { return _value; }
     unsigned bits() const { return _bits; }
 
-    /** (a + b) mod q. */
+    /**
+     * (a + b) mod q. add/sub select the correction with a mask, not a
+     * branch: on residues the branch is a coin flip, and mispredicting
+     * it costs more than the arithmetic in the per-coefficient loops.
+     */
     u64
     add(u64 a, u64 b) const
     {
-        u64 s = a + b;
-        return s >= _value ? s - _value : s;
+        const u64 s = a + b;
+        return s - (_value & (0 - static_cast<u64>(s >= _value)));
     }
 
     /** (a - b) mod q. */
     u64
     sub(u64 a, u64 b) const
     {
-        return a >= b ? a - b : a + _value - b;
+        return a - b + (_value & (0 - static_cast<u64>(a < b)));
     }
 
     /** (-a) mod q. */
@@ -49,8 +53,38 @@ class Modulus
         return a == 0 ? 0 : _value - a;
     }
 
-    /** Barrett reduction of a 128-bit value into [0, q). */
-    u64 reduce128(u128 x) const;
+    /**
+     * Barrett reduction of a 128-bit value into [0, q). Inline: the
+     * remaining scalar callers (tails, tiny moduli, key generation) sit
+     * in per-coefficient loops where a call per element is most of the
+     * cost.
+     */
+    u64
+    reduce128(u128 x) const
+    {
+        // Quotient estimate: the top 128 bits of x * floor(2^128/q), from
+        // 64x64->128 partial products of the 256-bit product.
+        const u64 x_hi = static_cast<u64>(x >> 64);
+        const u64 x_lo = static_cast<u64>(x);
+        const u64 b_hi = static_cast<u64>(barrett >> 64);
+        const u64 b_lo = static_cast<u64>(barrett);
+
+        const u128 lo_lo = static_cast<u128>(x_lo) * b_lo;
+        const u128 lo_hi = static_cast<u128>(x_lo) * b_hi;
+        const u128 hi_lo = static_cast<u128>(x_hi) * b_lo;
+        const u128 hi_hi = static_cast<u128>(x_hi) * b_hi;
+
+        const u128 mid = lo_hi + hi_lo;
+        const u128 carry_mid = mid < lo_hi ? (static_cast<u128>(1) << 64) : 0;
+        const u128 mid_plus = mid + (lo_lo >> 64);
+        const u128 carry2 = mid_plus < mid ? (static_cast<u128>(1) << 64) : 0;
+        const u128 q_est = hi_hi + (mid_plus >> 64) + carry_mid + carry2;
+
+        u128 r = x - q_est * _value;
+        while (r >= _value)
+            r -= _value;
+        return static_cast<u64>(r);
+    }
 
     /** Reduce an arbitrary 64-bit value (not necessarily < q). */
     u64 reduce(u64 x) const { return reduce128(x); }
@@ -83,7 +117,7 @@ class Modulus
     {
         u64 hi = static_cast<u64>((static_cast<u128>(a) * w_precon) >> 64);
         u64 r = a * w - hi * _value;
-        return r >= _value ? r - _value : r;
+        return r - (_value & (0 - static_cast<u64>(r >= _value)));
     }
 
     /**

@@ -84,7 +84,7 @@ addMulModVec(u64* dst, const u64* a, const u64* b, size_t n,
 }
 
 void
-newlimbAcc(const u64* rows, size_t stride, const u64* punct, size_t k,
+newlimbAcc(const u64* const* rows, size_t n, const u64* punct, size_t k,
            u64 q, u64 r64, u64 r64_shoup, u64 pre1, u64* out)
 {
     // 128-bit lazy accumulation, folded with the Shoup constants the
@@ -92,32 +92,34 @@ newlimbAcc(const u64* rows, size_t stride, const u64* punct, size_t k,
     // barrett64(acc_lo)) mod q. Flushing every 16 terms keeps the 128-bit
     // accumulator overflow-free for q up to the 2^62 bound (16 products
     // below 2^124 sum to under 2^128).
-    u64 result = 0;
-    for (size_t base = 0; base < k; base += 16) {
-        const size_t chunk = k - base < 16 ? k - base : 16;
-        u128 acc = 0;
-        for (size_t i = 0; i < chunk; ++i)
-            acc += static_cast<u128>(rows[(base + i) * stride]) *
-                   punct[base + i];
-        const u64 acc_hi = static_cast<u64>(acc >> 64);
-        const u64 acc_lo = static_cast<u64>(acc);
-        // hi * 2^64 mod q via Shoup (lazy, < 2q) ...
-        u64 h = static_cast<u64>(
-            (static_cast<u128>(acc_hi) * r64_shoup) >> 64);
-        u64 m1 = acc_hi * r64 - h * q;
-        // ... plus acc_lo reduced under 2q with the pre1 = floor(2^64/q)
-        // quotient estimate.
-        u64 qe = static_cast<u64>((static_cast<u128>(acc_lo) * pre1) >> 64);
-        u64 m2 = acc_lo - qe * q;
-        u64 r = m1 + m2; // < 4q < 2^64
-        if (r >= 2 * q)
-            r -= 2 * q;
-        if (r >= q)
-            r -= q;
-        u64 s = result + r;
-        result = s >= q ? s - q : s;
+    for (size_t c = 0; c < n; ++c) {
+        u64 result = 0;
+        for (size_t base = 0; base < k; base += 16) {
+            const size_t chunk = k - base < 16 ? k - base : 16;
+            u128 acc = 0;
+            for (size_t i = 0; i < chunk; ++i)
+                acc += static_cast<u128>(rows[base + i][c]) * punct[base + i];
+            const u64 acc_hi = static_cast<u64>(acc >> 64);
+            const u64 acc_lo = static_cast<u64>(acc);
+            // hi * 2^64 mod q via Shoup (lazy, < 2q) ...
+            u64 h = static_cast<u64>(
+                (static_cast<u128>(acc_hi) * r64_shoup) >> 64);
+            u64 m1 = acc_hi * r64 - h * q;
+            // ... plus acc_lo reduced under 2q with the pre1 =
+            // floor(2^64/q) quotient estimate.
+            u64 qe =
+                static_cast<u64>((static_cast<u128>(acc_lo) * pre1) >> 64);
+            u64 m2 = acc_lo - qe * q;
+            u64 r = m1 + m2; // < 4q < 2^64
+            if (r >= 2 * q)
+                r -= 2 * q;
+            if (r >= q)
+                r -= q;
+            u64 s = result + r;
+            result = s >= q ? s - q : s;
+        }
+        out[c] = result;
     }
-    out[0] = result;
 }
 
 const Kernels kScalar = {

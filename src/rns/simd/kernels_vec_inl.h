@@ -378,40 +378,52 @@ fpTransform(u64* p, size_t n, const double* pre_rev, const double* tw,
 
 template <class Ops>
 void
-newlimbAcc(const u64* rows, size_t stride, const u64* punct, size_t k,
+newlimbAcc(const u64* const* rows, size_t n, const u64* punct, size_t k,
            u64 q, u64 r64, u64 r64_shoup, u64 pre1, u64* out)
 {
+    constexpr size_t W = Ops::W;
     const auto vq = Ops::set1(q);
     const auto v2q = Ops::set1(2 * q);
     const auto vr64 = Ops::set1(r64);
     const auto vr64s = Ops::set1(r64_shoup);
     const auto vpre1 = Ops::set1(pre1);
-    auto result = Ops::set1(0);
-    for (size_t base = 0; base < k; base += 16) {
-        const size_t chunk = k - base < 16 ? k - base : 16;
-        auto acc_lo = Ops::set1(0);
-        auto acc_hi = Ops::set1(0);
-        for (size_t i = 0; i < chunk; ++i) {
-            auto s = Ops::load(rows + (base + i) * stride);
-            auto pb = Ops::set1(punct[base + i]);
-            typename Ops::V hi, lo;
-            Ops::mul128(s, pb, &hi, &lo);
-            auto nlo = Ops::add(acc_lo, lo);
-            auto carry = Ops::borrow1(nlo, lo); // 1 where the add wrapped
-            acc_lo = nlo;
-            acc_hi = Ops::add(acc_hi, Ops::add(hi, carry));
+    size_t c = 0;
+    for (; c + W <= n; c += W) {
+        auto result = Ops::set1(0);
+        for (size_t base = 0; base < k; base += 16) {
+            const size_t chunk = k - base < 16 ? k - base : 16;
+            auto acc_lo = Ops::set1(0);
+            auto acc_hi = Ops::set1(0);
+            for (size_t i = 0; i < chunk; ++i) {
+                auto s = Ops::load(rows[base + i] + c);
+                auto pb = Ops::set1(punct[base + i]);
+                typename Ops::V hi, lo;
+                Ops::mul128(s, pb, &hi, &lo);
+                auto nlo = Ops::add(acc_lo, lo);
+                auto carry = Ops::borrow1(nlo, lo); // 1 where the add wrapped
+                acc_lo = nlo;
+                acc_hi = Ops::add(acc_hi, Ops::add(hi, carry));
+            }
+            // Fold acc_hi:acc_lo into [0, q): hi * (2^64 mod q) by Shoup
+            // (lazy, < 2q) plus lo reduced under 2q via
+            // pre1 = floor(2^64/q).
+            auto m1 = mulShoupLazyV<Ops>(acc_hi, vr64, vr64s, vq);
+            auto qe = Ops::mulhi64(acc_lo, vpre1);
+            auto m2 = Ops::sub(acc_lo, Ops::mullo64(qe, vq));
+            auto r = Ops::add(m1, m2); // < 4q < 2^64
+            r = Ops::csub(r, v2q);
+            r = Ops::csub(r, vq);
+            result = Ops::csub(Ops::add(result, r), vq);
         }
-        // Fold acc_hi:acc_lo into [0, q): hi * (2^64 mod q) by Shoup
-        // (lazy, < 2q) plus lo reduced under 2q via pre1 = floor(2^64/q).
-        auto m1 = mulShoupLazyV<Ops>(acc_hi, vr64, vr64s, vq);
-        auto qe = Ops::mulhi64(acc_lo, vpre1);
-        auto m2 = Ops::sub(acc_lo, Ops::mullo64(qe, vq));
-        auto r = Ops::add(m1, m2); // < 4q < 2^64
-        r = Ops::csub(r, v2q);
-        r = Ops::csub(r, vq);
-        result = Ops::csub(Ops::add(result, r), vq);
+        Ops::store(out + c, result);
     }
-    Ops::store(out, result);
+    if (c < n) {
+        std::vector<const u64*> tail(k);
+        for (size_t i = 0; i < k; ++i)
+            tail[i] = rows[i] + c;
+        scalarKernels()->newlimb_acc(tail.data(), n - c, punct, k, q, r64,
+                                     r64_shoup, pre1, out + c);
+    }
 }
 
 } // namespace vecimpl

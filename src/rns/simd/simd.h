@@ -43,7 +43,7 @@ struct Kernels
     const char* name;
     /** Telemetry span label ("simd.scalar", ...); a string literal. */
     const char* span_label;
-    /** Native lane width in u64 (1, 4, 8). Block size for NewLimb. */
+    /** Native lane width in u64 (1, 4, 8). */
     size_t lanes;
 
     /**
@@ -83,14 +83,14 @@ struct Kernels
                             const Modulus& q);
 
     /**
-     * NewLimb inner accumulation over one lane block (exactly `lanes`
-     * coefficients): out[l] = (sum_i rows[i*stride + l] * punct[i]) mod q.
-     * `rows` is the k x stride row-major scaled-residue scratch.
+     * NewLimb accumulation into one target limb:
+     * out[c] = (sum_i rows[i][c] * punct[i]) mod q for c in [0, n).
+     * `rows` holds k pointers to scaled-residue limbs, read in place.
      * r64 = 2^64 mod q with its Shoup preconditioner r64_shoup, and
      * pre1 = shoupPrecompute(1) = floor(2^64 / q) (the 128-bit folding
      * constants, precomputed per target modulus by the caller).
      */
-    void (*newlimb_acc)(const u64* rows, size_t stride, const u64* punct,
+    void (*newlimb_acc)(const u64* const* rows, size_t n, const u64* punct,
                         size_t k, u64 q, u64 r64, u64 r64_shoup, u64 pre1,
                         u64* out);
 

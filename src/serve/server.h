@@ -18,11 +18,13 @@
  * batched run is byte-identical to the same requests executed
  * sequentially against a bare Evaluator, whatever the batch shapes.
  *
- * Observability/robustness: requests run under "Serve.Request" spans
- * with per-tenant child spans and per-tenant request/error/latency
- * metrics; failures are caught per item, classified (ErrorKind), and
- * returned as error responses — a hostile frame or an injected fault
- * never takes the server down.
+ * Observability/robustness: each batch runs under a "Serve.Batch" span,
+ * and each request under its own root-level "tenant-N/<Op>" span path
+ * (a tenant span with the op as its child, detached from the batch
+ * span so the path is the same inline or on a pool worker), with
+ * per-tenant request/error/latency metrics; failures are caught per
+ * item, classified (ErrorKind), and returned as error responses — a
+ * hostile frame or an injected fault never takes the server down.
  *
  * Overload resilience (see DESIGN.md "Robustness model"): every request
  * carries a monotonic deadline (its own deadline_ms, else

@@ -8,6 +8,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "support/env.h"
@@ -60,16 +61,31 @@ readAll(int fd, void* buf, size_t len)
     return IoResult::Ok;
 }
 
+/**
+ * Send every byte of the non-empty buffers iov[0, cnt). Each attempt is
+ * one sendmsg() — a writev that takes MSG_NOSIGNAL — and a partial write
+ * advances through the vector.
+ */
 bool
-writeAll(int fd, const void* buf, size_t len)
+writeAll(int fd, iovec* iov, size_t cnt)
 {
-    const u8* p = static_cast<const u8*>(buf);
-    size_t sent = 0;
     int eintr = 0;
-    while (sent < len) {
-        const ssize_t n = ::send(fd, p + sent, len - sent, MSG_NOSIGNAL);
+    while (cnt > 0) {
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = cnt;
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
         if (n > 0) {
-            sent += static_cast<size_t>(n);
+            size_t sent = static_cast<size_t>(n);
+            while (cnt > 0 && sent >= iov->iov_len) {
+                sent -= iov->iov_len;
+                ++iov;
+                --cnt;
+            }
+            if (cnt > 0) {
+                iov->iov_base = static_cast<u8*>(iov->iov_base) + sent;
+                iov->iov_len -= sent;
+            }
             eintr = 0;
             continue;
         }
@@ -85,12 +101,18 @@ writeAll(int fd, const void* buf, size_t len)
     return true;
 }
 
+/**
+ * The length prefix and the frame leave in one write: a separate 8-byte
+ * prefix segment would hold the payload back behind Nagle until the
+ * peer's delayed ACK (~40 ms on Linux).
+ */
 bool
 sendFrame(int fd, const std::string& frame)
 {
-    const u64 len = frame.size();
-    return writeAll(fd, &len, sizeof(len)) &&
-           writeAll(fd, frame.data(), frame.size());
+    u64 len = frame.size();
+    iovec iov[2] = {{&len, sizeof(len)},
+                    {const_cast<char*>(frame.data()), frame.size()}};
+    return writeAll(fd, iov, frame.empty() ? 1 : 2);
 }
 
 /**
@@ -139,6 +161,16 @@ applySocketTimeouts(int fd)
     tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
+
+/** Per-connection socket options for both ends: I/O timeouts and
+ *  TCP_NODELAY, so a reply is sent as soon as it is written. */
+void
+configureConnection(int fd)
+{
+    applySocketTimeouts(fd);
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 } // namespace
@@ -235,7 +267,7 @@ TcpFrontEnd::acceptLoop()
                 continue;
             return; // listener closed by stop()
         }
-        applySocketTimeouts(fd);
+        configureConnection(fd);
         std::lock_guard<std::mutex> lock(conns_mu);
         if (stopping.load()) {
             ::close(fd);
@@ -306,12 +338,12 @@ TcpFrontEnd::serveConnection(Conn* conn)
     TELEM_COUNT("serve.tcp.closes", 1);
 }
 
-std::string
-tcpRequest(const std::string& host, std::uint16_t port, const std::string& frame)
+int
+tcpConnect(const std::string& host, std::uint16_t port)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     MAD_CHECK(fd >= 0, "tcp: socket() failed");
-    applySocketTimeouts(fd);
+    configureConnection(fd);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -321,6 +353,13 @@ tcpRequest(const std::string& host, std::uint16_t port, const std::string& frame
         ::close(fd);
         throw UserError("tcp: connect to " + host + " failed");
     }
+    return fd;
+}
+
+std::string
+tcpRequest(const std::string& host, std::uint16_t port, const std::string& frame)
+{
+    const int fd = tcpConnect(host, port);
     std::string reply;
     const bool ok = sendFrame(fd, frame) && recvFrame(fd, reply);
     ::close(fd);

@@ -10,6 +10,9 @@
  * as a typed error response instead of killing the connection, and a
  * hostile length prefix is rejected before allocation.
  *
+ * Both ends set TCP_NODELAY and send each frame (length prefix and
+ * payload) in a single write, so no reply waits on Nagle's algorithm.
+ *
  * Robustness (see DESIGN.md "Robustness model"): all socket I/O
  * tolerates partial reads/writes and bounded EINTR storms;
  * MADFHE_TCP_TIMEOUT_MS arms SO_RCVTIMEO/SO_SNDTIMEO so a stalled peer
@@ -80,6 +83,13 @@ class TcpFrontEnd
     mutable std::mutex conns_mu;
     std::vector<std::unique_ptr<Conn>> conns;
 };
+
+/**
+ * Open a client connection to `host`:`port` with the front end's socket
+ * options (MADFHE_TCP_TIMEOUT_MS timeouts, TCP_NODELAY). The caller owns
+ * and closes the returned fd. Throws UserError when the connect fails.
+ */
+int tcpConnect(const std::string& host, std::uint16_t port);
 
 /**
  * Blocking client helper: connect, send one length-prefixed `frame`,

@@ -62,6 +62,38 @@ TEST(Modulus, ShoupMatchesBarrett)
     }
 }
 
+TEST(Modulus, ShoupIsExactForAnyWord)
+{
+    // The basis-conversion overshoot correction multiplies an unreduced
+    // 64-bit count by a fixed residue with mulShoup: it must equal the
+    // reduce-then-multiply result for every word, not only for a < q.
+    Prng rng(11);
+    for (u64 qv : {17ULL, 0x1FFFFFFFFFE00001ULL, (1ULL << 62) - 57}) {
+        Modulus q(qv);
+        for (int i = 0; i < 2000; ++i) {
+            const u64 w = rng.uniform(q.value());
+            const u64 ws = q.shoupPrecompute(w);
+            const u64 a = i < 4 ? ~u64{0} - static_cast<u64>(i)
+                                : rng.uniform(~u64{0});
+            EXPECT_EQ(q.mulShoup(a, w, ws), q.mul(q.reduce(a), w))
+                << "q=" << qv << " a=" << a << " w=" << w;
+        }
+    }
+}
+
+TEST(Modulus, AddSubMatchNaive)
+{
+    Modulus q(0x1FFFFFFFFFE00001ULL);
+    Prng rng(12);
+    for (int i = 0; i < 2000; ++i) {
+        const u64 a = i == 0 ? q.value() - 1 : rng.uniform(q.value());
+        const u64 b = i == 0 ? q.value() - 1 : rng.uniform(q.value());
+        const u128 qq = q.value();
+        EXPECT_EQ(q.add(a, b), static_cast<u64>((u128{a} + b) % qq));
+        EXPECT_EQ(q.sub(a, b), static_cast<u64>((u128{a} + qq - b) % qq));
+    }
+}
+
 TEST(Modulus, PowAndInverse)
 {
     Modulus q(65537);

@@ -8,6 +8,8 @@
 
 #include "ckks/context.h"
 #include "rns/primegen.h"
+#include "support/parallel.h"
+#include "support/threadpool.h"
 
 namespace madfhe {
 namespace {
@@ -128,6 +130,38 @@ TEST(CkksContextTest, ConvertersAreCachedByIdentity)
     const BasisConverter& c = ctx->modDownConverter(4);
     const BasisConverter& d = ctx->modDownConverter(4);
     EXPECT_EQ(&c, &d);
+}
+
+TEST(CkksContextTest, ConvertersFillSafelyFromPoolWorkers)
+{
+    // The converter caches fill lazily, and key switching asks for
+    // converters from inside pool workers. Workers filling a cold cache
+    // at once must each get the one cached converter per key.
+    const size_t prev_threads = ThreadPool::global().size();
+    ThreadPool::setGlobalThreads(4);
+    for (int round = 0; round < 20; ++round) {
+        auto ctx = std::make_shared<CkksContext>(CkksParams::unitTest());
+        const size_t levels = ctx->maxLevel();
+        // Task t walks every converter, starting at its own level.
+        auto walk = [&](size_t t) {
+            std::vector<const BasisConverter*> seen;
+            for (size_t s = 0; s < levels; ++s) {
+                const size_t level = 1 + (s + t) % levels;
+                for (size_t d = 0; d < ctx->numDigits(level); ++d)
+                    seen.push_back(&ctx->modUpConverter(d, level));
+                seen.push_back(&ctx->modDownConverter(level));
+                if (level >= 2)
+                    seen.push_back(&ctx->mergedModDownConverter(level));
+            }
+            return seen;
+        };
+        const size_t tasks = 16;
+        std::vector<std::vector<const BasisConverter*>> got(tasks);
+        parallelFor(tasks, [&](size_t t) { got[t] = walk(t); });
+        for (size_t t = 0; t < tasks; ++t)
+            EXPECT_EQ(got[t], walk(t)) << "round " << round << " task " << t;
+    }
+    ThreadPool::setGlobalThreads(prev_threads);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -673,6 +674,59 @@ TEST_F(ServeTest, TcpRoundTripServesEncryptedKv)
     EXPECT_FALSE(typed.ok);
     EXPECT_EQ(typed.error_kind, ErrorKind::User);
     EXPECT_THROW(throwIfError(typed), UserError);
+}
+
+/** TCP_NODELAY as getsockopt reports it on `fd`. */
+bool
+noDelay(int fd)
+{
+    int on = 0;
+    socklen_t len = sizeof(on);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+    return on != 0;
+}
+
+TEST_F(ServeTest, TcpSocketsDisableNagleAtBothEnds)
+{
+    // A reply must leave as soon as it is written: with Nagle on, a
+    // frame sent right after another small segment waits for the peer's
+    // delayed ACK (~40 ms on Linux).
+    Server server(ctx);
+    TcpFrontEnd tcp(server, 0);
+    const int client = tcpConnect("127.0.0.1", tcp.port());
+    EXPECT_TRUE(noDelay(client));
+
+    // The front end's accepted socket lives in this process: it is the
+    // descriptor whose peer is the client's local address.
+    for (int spin = 0; spin < 200 && tcp.liveConnections() == 0; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(tcp.liveConnections(), 1u);
+    sockaddr_in local{};
+    socklen_t local_len = sizeof(local);
+    ASSERT_EQ(::getsockname(client, reinterpret_cast<sockaddr*>(&local),
+                            &local_len),
+              0);
+    int accepted = -1;
+    for (int fd = 0; fd < 1024 && accepted < 0; ++fd) {
+        sockaddr_in peer{};
+        socklen_t peer_len = sizeof(peer);
+        if (fd != client &&
+            ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer),
+                          &peer_len) == 0 &&
+            peer.sin_family == AF_INET && peer.sin_port == local.sin_port &&
+            peer.sin_addr.s_addr == local.sin_addr.s_addr)
+            accepted = fd;
+    }
+    ASSERT_GE(accepted, 0) << "accepted socket not found";
+    EXPECT_TRUE(noDelay(accepted));
+    ::close(client);
+
+    // An empty frame goes out as the length prefix alone and still gets
+    // a typed error back.
+    const Response empty =
+        decodeResponse(tcpRequest("127.0.0.1", tcp.port(), ""), ctx->ring());
+    EXPECT_FALSE(empty.ok);
+    EXPECT_EQ(empty.error_kind, ErrorKind::CorruptStream);
 }
 
 // --- fault injection through the serving path -----------------------------

@@ -15,6 +15,7 @@
 
 #include "ckks/encryptor.h"
 #include "ckks/serialize.h"
+#include "ckks/stream.h"
 #include "rns/basis.h"
 #include "rns/ntt.h"
 #include "rns/primegen.h"
@@ -190,40 +191,163 @@ TEST(SimdPointwise, BitExactIncludingTails)
     }
 }
 
-/** Fast basis extension must be byte-identical under every backend. */
+/**
+ * Fast basis extension must be byte-identical under every backend, for
+ * every entry point key switching uses: convert() in both modes,
+ * convertLimbRaw() per target limb, and the streaming factorization
+ * scaleSourceRaw() + overshootRaw() + accumulateScaledRaw() with and
+ * without the overshoot vector. The shapes cover the CKKS chain widths
+ * and primes just under the 2^62 lazy-reduction cap (where the 128-bit
+ * NewLimb accumulator and the overshoot Shoup multiply have the least
+ * headroom); n = 203 is off the lane grid so vector tails run too.
+ */
 TEST(SimdBasis, ConvertBitExactAcrossBackends)
 {
-    const size_t n = 256;
-    auto primes_from = generateNttPrimes(45, n, 4);
-    auto primes_to = generateNttPrimes(46, n, 2, primes_from);
-    std::vector<Modulus> from_m, to_m;
-    for (u64 p : primes_from)
-        from_m.emplace_back(p);
-    for (u64 p : primes_to)
-        to_m.emplace_back(p);
-    RnsBasis from(std::move(from_m)), to(std::move(to_m));
-    BasisConverter conv(from, to);
+    const size_t n = 203;
+    struct Shape
+    {
+        unsigned from_bits, to_bits;
+        size_t k;
+    };
+    for (const Shape& shape : {Shape{45, 46, 4}, Shape{61, 61, 5},
+                               Shape{60, 61, 17}}) {
+        SCOPED_TRACE("from " + std::to_string(shape.from_bits) + " bits x" +
+                     std::to_string(shape.k) + ", to " +
+                     std::to_string(shape.to_bits) + " bits");
+        auto primes_from = generateNttPrimes(shape.from_bits, 256, shape.k);
+        auto primes_to = generateNttPrimes(shape.to_bits, 256, 3, primes_from);
+        std::vector<Modulus> from_m, to_m;
+        for (u64 p : primes_from)
+            from_m.emplace_back(p);
+        for (u64 p : primes_to)
+            to_m.emplace_back(p);
+        RnsBasis from(std::move(from_m)), to(std::move(to_m));
+        BasisConverter conv(from, to);
 
-    std::vector<std::vector<u64>> in(from.size());
-    std::vector<const u64*> in_ptrs;
-    for (size_t i = 0; i < from.size(); ++i) {
-        in[i] = randomResidues(n, from[i], 70 + i);
-        in_ptrs.push_back(in[i].data());
+        std::vector<std::vector<u64>> in(from.size());
+        std::vector<const u64*> in_ptrs;
+        for (size_t i = 0; i < from.size(); ++i) {
+            in[i] = randomResidues(n, from[i], 70 + i);
+            // Pin the extremes: all-zero and all-(q-1) coefficients give
+            // the smallest and largest overshoot counts.
+            in[i][0] = 0;
+            in[i][1] = from[i].value() - 1;
+            in_ptrs.push_back(in[i].data());
+        }
+
+        // Every output of every entry point, concatenated limb by limb.
+        auto run = [&](simd::Backend b) {
+            ScopedBackend sb(b);
+            std::vector<std::vector<u64>> outs;
+            for (ConvMode mode : {ConvMode::SignedExact, ConvMode::Approx}) {
+                std::vector<std::vector<u64>> out(to.size(),
+                                                  std::vector<u64>(n));
+                std::vector<u64*> out_ptrs;
+                for (auto& limb : out)
+                    out_ptrs.push_back(limb.data());
+                conv.convert(in_ptrs, n, out_ptrs, mode);
+                outs.insert(outs.end(), out.begin(), out.end());
+                for (size_t j = 0; j < to.size(); ++j) {
+                    std::vector<u64> limb(n);
+                    conv.convertLimbRaw(in_ptrs, n, j, limb.data(), mode);
+                    outs.push_back(limb);
+                }
+            }
+            std::vector<std::vector<u64>> scaled(from.size(),
+                                                 std::vector<u64>(n));
+            std::vector<const u64*> scaled_ptrs;
+            for (size_t i = 0; i < from.size(); ++i) {
+                conv.scaleSourceRaw(in[i].data(), n, i, scaled[i].data());
+                scaled_ptrs.push_back(scaled[i].data());
+            }
+            std::vector<u64> us(n);
+            conv.overshootRaw(scaled_ptrs, n, us.data());
+            const std::vector<const u64*> overshoots = {us.data(), nullptr};
+            for (const u64* overshoot : overshoots) {
+                for (size_t j = 0; j < to.size(); ++j) {
+                    std::vector<u64> limb(n);
+                    conv.accumulateScaledRaw(scaled_ptrs, overshoot, n, j,
+                                             limb.data());
+                    outs.push_back(limb);
+                }
+            }
+            return outs;
+        };
+
+        const auto ref = run(simd::Backend::Scalar);
+        // The streaming factorization reproduces convert() in both modes.
+        const size_t t = to.size();
+        for (size_t j = 0; j < t; ++j) {
+            EXPECT_EQ(ref[4 * t + j], ref[j]) << "SignedExact, target " << j;
+            EXPECT_EQ(ref[5 * t + j], ref[2 * t + j]) << "Approx, target " << j;
+            EXPECT_EQ(ref[t + j], ref[j]) << "convertLimbRaw, target " << j;
+        }
+        for (simd::Backend b : vectorBackends())
+            EXPECT_EQ(run(b), ref) << simd::backendName(b);
     }
+}
 
-    auto run = [&](simd::Backend b) {
+/**
+ * Key switching end to end: the MAC loops, the fused P-lift and ModDown's
+ * subtract-and-scale dispatch through the SIMD table, so keySwitch,
+ * keySwitchMerged (Mult relinearization) and rotateRaised must leave
+ * the same bytes on every backend under every stream policy — and the
+ * same bytes as the scalar materializing path.
+ */
+TEST(SimdKeySwitch, BitExactAcrossBackendsAndStreamPolicies)
+{
+    test::CkksHarness h(CkksParams::unitTest());
+    const GaloisKeys gks = h.makeGaloisKeys({1});
+    const SwitchingKey& gk = gks.at(h.ctx->ring()->galoisElt(1));
+    const auto& ksw = h.eval->keySwitcher();
+    const size_t level = h.ctx->maxLevel();
+    const auto basis = h.ctx->ring()->qIndices(level);
+    Sampler s(31);
+    auto randomEval = [&] {
+        RnsPoly p(h.ctx->ring(), basis, Rep::Coeff);
+        p.setFromSigned(s.centeredBinomial(h.ctx->degree()));
+        p.toEval();
+        return p;
+    };
+    const RnsPoly x = randomEval();
+    const RnsPoly d0 = randomEval(), d1 = randomEval(), d2 = randomEval();
+    const Ciphertext ct = h.encryptSlots(test::randomSlots(h.ctx->slots(), 8),
+                                         level);
+
+    auto run = [&](simd::Backend b, StreamPolicy p) {
         ScopedBackend sb(b);
-        std::vector<std::vector<u64>> out(to.size(), std::vector<u64>(n));
-        std::vector<u64*> out_ptrs;
-        for (auto& limb : out)
-            out_ptrs.push_back(limb.data());
-        conv.convert(in_ptrs, n, out_ptrs);
+        ScopedStreamPolicy sp(p);
+        std::vector<RnsPoly> out;
+        auto [u, v] = ksw.keySwitch(x, gk);
+        out.push_back(std::move(u));
+        out.push_back(std::move(v));
+        auto [mu, mv] = ksw.keySwitchMerged(d2, h.rlk, d0, d1);
+        out.push_back(std::move(mu));
+        out.push_back(std::move(mv));
+        const auto digits = ksw.decomposeAndRaise(ct.c1);
+        RaisedCiphertext r = h.eval->rotateRaised(digits, ct, 1, gks);
+        out.push_back(std::move(r.c0));
+        out.push_back(std::move(r.c1));
         return out;
     };
+    static const char* const kNames[] = {"keySwitch u", "keySwitch v",
+                                         "merged u",    "merged v",
+                                         "rotateRaised c0",
+                                         "rotateRaised c1"};
 
-    const auto ref = run(simd::Backend::Scalar);
+    const auto ref = run(simd::Backend::Scalar, StreamPolicy::Off);
+    std::vector<simd::Backend> all = {simd::Backend::Scalar};
     for (simd::Backend b : vectorBackends())
-        EXPECT_EQ(run(b), ref) << simd::backendName(b);
+        all.push_back(b);
+    for (simd::Backend b : all) {
+        for (StreamPolicy p : kStreamPolicies) {
+            const auto got = run(b, p);
+            for (size_t i = 0; i < ref.size(); ++i)
+                EXPECT_TRUE(got[i].equals(ref[i]))
+                    << kNames[i] << " differs: " << simd::backendName(b)
+                    << ", stream " << streamPolicyName(p);
+        }
+    }
 }
 
 /**
