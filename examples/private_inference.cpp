@@ -4,7 +4,8 @@
  * ResNet-20 workload the paper evaluates) using the reusable
  * apps::EncryptedMlp: a 2-layer MLP with square activations runs on a
  * batch of encrypted inputs. The dense layers are block-circulant
- * PtMatVecMult transforms with MAD double-hoisting enabled.
+ * PtMatVecMult transforms (hoisted ModUp, one ModDown pair per giant
+ * step).
  */
 #include <cmath>
 #include <cstdio>
@@ -40,9 +41,7 @@ main()
                 v = (2.0 * rng.uniformReal() - 1.0) * 0.5;
         return m;
     };
-    MatVecOptions mv;
-    mv.double_hoist = true; // MAD ModDown hoisting across giant steps
-    EncryptedMlp mlp(ctx, {randMat(dim), randMat(out_dim)}, dim, mv);
+    EncryptedMlp mlp(ctx, {randMat(dim), randMat(out_dim)}, dim);
 
     KeyGenerator keygen(ctx);
     SecretKey sk = keygen.secretKey();

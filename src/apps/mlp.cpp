@@ -45,8 +45,7 @@ blockDenseDiagonals(const std::vector<std::vector<double>>& weights,
 
 EncryptedMlp::EncryptedMlp(
     std::shared_ptr<const CkksContext> ctx_,
-    std::vector<std::vector<std::vector<double>>> layers, size_t dim,
-    MatVecOptions matvec)
+    std::vector<std::vector<std::vector<double>>> layers, size_t dim)
     : ctx(std::move(ctx_)), weights(std::move(layers)), block_dim(dim)
 {
     MAD_REQUIRE(!weights.empty(), "need at least one layer");
@@ -55,7 +54,7 @@ EncryptedMlp::EncryptedMlp(
     for (const auto& w : weights) {
         transforms.emplace_back(
             ctx, blockDenseDiagonals(w, block_dim, ctx->slots()),
-            ctx->scale(), matvec);
+            ctx->scale());
     }
 }
 

@@ -3,8 +3,7 @@
  * EncryptedMlp: private inference for a small multilayer perceptron with
  * square activations. Inputs are packed block-wise (one sample per
  * `dim`-slot block, slots/dim samples per ciphertext); dense layers are
- * block-circulant PtMatVecMult linear transforms using the MAD hoisting
- * code paths.
+ * block-circulant PtMatVecMult linear transforms.
  */
 #ifndef MADFHE_APPS_MLP_H
 #define MADFHE_APPS_MLP_H
@@ -37,7 +36,7 @@ class EncryptedMlp
      */
     EncryptedMlp(std::shared_ptr<const CkksContext> ctx,
                  std::vector<std::vector<std::vector<double>>> layers,
-                 size_t dim, MatVecOptions matvec = {});
+                 size_t dim);
 
     size_t dim() const { return block_dim; }
     size_t numLayers() const { return weights.size(); }
@@ -68,7 +67,7 @@ class EncryptedMlp
     /**
      * infer() through the graph IR: build, run the pass pipeline,
      * execute over `backend`. Byte-identical to the imperative infer()
-     * on the real backend (the matvec fusion pass included).
+     * on the real backend.
      */
     Ciphertext inferGraph(const EvalBackend& backend, const Ciphertext& input,
                           const GaloisKeys& gks, const SwitchingKey& rlk,

@@ -171,13 +171,6 @@ RealBackend::matVec(const LinearTransform& t, const Ciphertext& ct,
     return t.apply(eval_, encoder_, ct, gks);
 }
 
-Ciphertext
-RealBackend::matVecFused(const LinearTransform& t, const Ciphertext& ct,
-                         const GaloisKeys& gks) const
-{
-    return t.applyFused(eval_, encoder_, ct, gks);
-}
-
 std::string
 RealBackend::resultDigest(const Ciphertext& ct) const
 {

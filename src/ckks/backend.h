@@ -104,14 +104,6 @@ class EvalBackend
     /** PtMatVecMult via a server-hosted transform (consumes one level). */
     virtual Ciphertext matVec(const LinearTransform& t, const Ciphertext& ct,
                               const GaloisKeys& gks) const = 0;
-    /** Limb-fused PtMatVecMult (byte-identical to matVec on the real
-     *  backend, less DRAM traffic); default falls back to matVec. */
-    virtual Ciphertext matVecFused(const LinearTransform& t,
-                                   const Ciphertext& ct,
-                                   const GaloisKeys& gks) const
-    {
-        return matVec(t, ct, gks);
-    }
 
     /** Whether bootstrap() is implemented; the base throws UserError. */
     virtual bool supportsBootstrap() const { return false; }
@@ -175,8 +167,6 @@ class RealBackend final : public EvalBackend
                                           const GaloisKeys& gks) const override;
     Ciphertext matVec(const LinearTransform& t, const Ciphertext& ct,
                       const GaloisKeys& gks) const override;
-    Ciphertext matVecFused(const LinearTransform& t, const Ciphertext& ct,
-                           const GaloisKeys& gks) const override;
     std::string resultDigest(const Ciphertext& ct) const override;
 
   private:

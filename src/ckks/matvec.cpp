@@ -47,10 +47,6 @@ LinearTransform::requiredRotations() const
     const size_t bs = babySteps();
     for (const auto& [d, v] : diags) {
         (void)v;
-        if (!opts.hoist_modup && !opts.hoist_moddown) {
-            steps.push_back(d); // naive path rotates by the raw index
-            continue;
-        }
         int j = d % static_cast<int>(bs);
         int giant = d - j;
         steps.push_back(j);
@@ -90,51 +86,30 @@ LinearTransform::apply(const Evaluator& eval, const CkksEncoder& encoder,
 {
     MAD_TRACE_SCOPE("PtMatVecMult");
     TELEM_SPAN("PtMatVecMult");
-    if (!opts.hoist_modup && !opts.hoist_moddown)
-        return applyNaive(eval, encoder, ct, gks);
-    return applyBsgs(eval, encoder, ct, gks);
-}
-
-Ciphertext
-LinearTransform::applyFused(const Evaluator& eval, const CkksEncoder& encoder,
-                            const Ciphertext& ct, const GaloisKeys& gks) const
-{
-    if (!opts.hoist_modup || !opts.hoist_moddown || opts.double_hoist)
-        return apply(eval, encoder, ct, gks);
-
-    MAD_TRACE_SCOPE("PtMatVecMult");
-    TELEM_SPAN("PtMatVecMult");
-    TELEM_COUNT("matvec.fused", 1);
     const size_t slots = ctx->slots();
     const size_t bs = babySteps();
-    const KeySwitcher& ksw = eval.keySwitcher();
 
+    // Group diagonals by giant step, d = giant + j with 0 <= j < bs, and
+    // rotate the input by each distinct baby step j off one hoisted
+    // Decomp+ModUp, keeping the results in the raised basis.
+    auto digits = eval.keySwitcher().decomposeAndRaise(ct.c1);
     std::map<int, std::map<int, const std::vector<std::complex<double>>*>>
         groups;
-    for (const auto& [d, diag] : diags) {
-        int j = d % static_cast<int>(bs);
-        groups[d - j][j] = &diag;
-    }
-
-    auto digits = ksw.decomposeAndRaise(ct.c1);
     std::map<int, RaisedCiphertext> baby_raised;
-    for (const auto& [giant, cols] : groups) {
-        (void)giant;
-        for (const auto& [j, diag] : cols) {
-            (void)diag;
-            if (!baby_raised.count(j))
-                baby_raised.emplace(j, eval.rotateRaised(digits, ct, j, gks));
-        }
+    for (const auto& [d, diag] : diags) {
+        const int j = d % static_cast<int>(bs);
+        groups[d - j][j] = &diag;
+        if (!baby_raised.count(j))
+            baby_raised.emplace(j, eval.rotateRaised(digits, ct, j, gks));
     }
 
     Ciphertext acc;
     bool first = true;
     for (const auto& [giant, cols] : groups) {
-        // The leading diagonal seeds the accumulator exactly as the
-        // unfused path does (raised copy + pointwise product); every
-        // further diagonal lands as an in-place fused MAC, which is
-        // byte-identical to copy + mulPointwise + add over canonical
-        // [0, q) residues but touches one raised operand less.
+        // The leading diagonal seeds the raised accumulator (copy +
+        // pointwise product); every further one is an in-place MAC,
+        // byte-identical to copy + product + add over canonical [0, q)
+        // residues but touching one raised operand less.
         RaisedCiphertext inner;
         bool inner_first = true;
         for (const auto& [j, diag] : cols) {
@@ -155,8 +130,8 @@ LinearTransform::applyFused(const Evaluator& eval, const CkksEncoder& encoder,
                 inner.c1.addMul(baby.c1, pt.poly);
             }
         }
-        Ciphertext inner_ct = eval.modDownPair(inner);
-        Ciphertext outer = eval.rotate(inner_ct, giant, gks);
+        // One ModDown pair per giant step, then the giant rotation.
+        Ciphertext outer = eval.rotate(eval.modDownPair(inner), giant, gks);
         if (first) {
             acc = std::move(outer);
             first = false;
@@ -164,135 +139,6 @@ LinearTransform::applyFused(const Evaluator& eval, const CkksEncoder& encoder,
             acc = eval.add(acc, outer);
         }
     }
-    return eval.rescale(acc);
-}
-
-Ciphertext
-LinearTransform::applyNaive(const Evaluator& eval, const CkksEncoder& encoder,
-                            const Ciphertext& ct, const GaloisKeys& gks) const
-{
-    // Baseline path: one full Rotate (ModUp + ModDown) per diagonal.
-    Ciphertext acc;
-    bool first = true;
-    for (const auto& [d, diag] : diags) {
-        Ciphertext rot = eval.rotate(ct, d, gks);
-        Plaintext pt = encoder.encode(diag, pt_scale, rot.level());
-        Ciphertext term = eval.mulPlain(rot, pt);
-        if (first) {
-            acc = std::move(term);
-            first = false;
-        } else {
-            acc = eval.add(acc, term);
-        }
-    }
-    return eval.rescale(acc);
-}
-
-Ciphertext
-LinearTransform::applyBsgs(const Evaluator& eval, const CkksEncoder& encoder,
-                           const Ciphertext& ct, const GaloisKeys& gks) const
-{
-    const size_t slots = ctx->slots();
-    const size_t bs = babySteps();
-    const KeySwitcher& ksw = eval.keySwitcher();
-
-    // Group diagonals by giant step: d = giant + j, 0 <= j < bs.
-    std::map<int, std::map<int, const std::vector<std::complex<double>>*>>
-        groups;
-    for (const auto& [d, diag] : diags) {
-        int j = d % static_cast<int>(bs);
-        groups[d - j][j] = &diag;
-    }
-
-    // Baby rotations with ModUp hoisting: Decomp+ModUp once.
-    auto digits = ksw.decomposeAndRaise(ct.c1);
-
-    std::map<int, RaisedCiphertext> baby_raised;
-    std::map<int, Ciphertext> baby_cts;
-    for (const auto& [giant, cols] : groups) {
-        (void)giant;
-        for (const auto& [j, diag] : cols) {
-            (void)diag;
-            if (opts.hoist_moddown) {
-                if (!baby_raised.count(j))
-                    baby_raised.emplace(j,
-                        eval.rotateRaised(digits, ct, j, gks));
-            } else if (!baby_cts.count(j)) {
-                RaisedCiphertext r = eval.rotateRaised(digits, ct, j, gks);
-                baby_cts.emplace(j, eval.modDownPair(r));
-            }
-        }
-    }
-
-    const bool double_hoist = opts.double_hoist && opts.hoist_moddown;
-    Ciphertext acc;
-    RaisedCiphertext racc;
-    bool first = true;
-    for (const auto& [giant, cols] : groups) {
-        Ciphertext inner_ct;
-        if (opts.hoist_moddown) {
-            // Accumulate plaintext products in the raised basis; a single
-            // ModDown pair per giant step (MAD ModDown hoisting).
-            RaisedCiphertext inner;
-            bool inner_first = true;
-            for (const auto& [j, diag] : cols) {
-                std::vector<std::complex<double>> rotated(slots);
-                for (size_t k = 0; k < slots; ++k)
-                    rotated[k] =
-                        (*diag)[(k + slots - giant % slots) % slots];
-                Plaintext pt = encoder.encodeRaised(rotated, pt_scale,
-                                                    ct.level());
-                RaisedCiphertext term = baby_raised.at(j);
-                eval.mulPlainRaised(term, pt);
-                if (inner_first) {
-                    inner = std::move(term);
-                    inner_first = false;
-                } else {
-                    eval.addRaised(inner, term);
-                }
-            }
-            inner_ct = eval.modDownPair(inner);
-        } else {
-            bool inner_first = true;
-            for (const auto& [j, diag] : cols) {
-                std::vector<std::complex<double>> rotated(slots);
-                for (size_t k = 0; k < slots; ++k)
-                    rotated[k] =
-                        (*diag)[(k + slots - giant % slots) % slots];
-                Plaintext pt = encoder.encode(rotated, pt_scale, ct.level());
-                Ciphertext term = eval.mulPlain(baby_cts.at(j), pt);
-                if (inner_first) {
-                    inner_ct = std::move(term);
-                    inner_first = false;
-                } else {
-                    inner_ct = eval.add(inner_ct, term);
-                }
-            }
-        }
-        if (double_hoist) {
-            // Keep the rotated giant in the raised basis and defer the
-            // ModDown pair to the very end.
-            auto giant_digits = ksw.decomposeAndRaise(inner_ct.c1);
-            RaisedCiphertext outer =
-                eval.rotateRaised(giant_digits, inner_ct, giant, gks);
-            if (first) {
-                racc = std::move(outer);
-                first = false;
-            } else {
-                eval.addRaised(racc, outer);
-            }
-        } else {
-            Ciphertext outer = eval.rotate(inner_ct, giant, gks);
-            if (first) {
-                acc = std::move(outer);
-                first = false;
-            } else {
-                acc = eval.add(acc, outer);
-            }
-        }
-    }
-    if (double_hoist)
-        acc = eval.modDownPair(racc);
     return eval.rescale(acc);
 }
 

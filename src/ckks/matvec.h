@@ -1,10 +1,11 @@
 /**
  * @file
  * PtMatVecMult: homomorphic plaintext-matrix x ciphertext-vector products
- * via the diagonal (BSGS) method, with the two hoisting levels the paper
- * analyzes (Figure 5): classic ModUp hoisting across the baby-step
- * rotations and MAD ModDown hoisting, which keeps the baby products in the
- * raised basis and defers ModDown to one pair per giant step.
+ * via the diagonal (BSGS) method, in the one schedule of the paper's
+ * Figure 5: Decomp+ModUp runs once for all baby-step rotations (ModUp
+ * hoisting), each giant step accumulates its plaintext products in the
+ * raised basis as in-place multiply-accumulates, and pays a single
+ * ModDown pair before its giant rotation (MAD ModDown hoisting).
  */
 #ifndef MADFHE_CKKS_MATVEC_H
 #define MADFHE_CKKS_MATVEC_H
@@ -15,18 +16,6 @@ namespace madfhe {
 
 struct MatVecOptions
 {
-    /** Decomp+ModUp once for all baby rotations (Figure 5(c)). */
-    bool hoist_modup = true;
-    /** Accumulate baby products in the raised basis; ModDown once per
-     *  giant step (Figure 5(b)). */
-    bool hoist_moddown = true;
-    /**
-     * Double hoisting: also accumulate the giant-step key-switch outputs
-     * in the raised basis, deferring to a single final ModDown pair for
-     * the whole PtMatVecMult (the "one ModUp + two ModDown" accounting
-     * of Section 3.2). Requires hoist_moddown.
-     */
-    bool double_hoist = false;
     /** Baby-step count; 0 = ceil(sqrt(#diagonals)). */
     size_t baby_steps = 0;
 };
@@ -47,29 +36,16 @@ class LinearTransform
 
     /**
      * Apply to a ciphertext; consumes one level (the product is rescaled).
+     * Every diagonal after a giant step's first is one in-place raised
+     * multiply-accumulate (RnsPoly::addMul: 1 write + 3 reads per limb).
      */
     Ciphertext apply(const Evaluator& eval, const CkksEncoder& encoder,
                      const Ciphertext& ct, const GaloisKeys& gks) const;
-
-    /**
-     * Limb-fused apply: byte-identical to apply(), but the per-giant
-     * raised accumulation runs as in-place multiply-accumulates
-     * (RnsPoly::addMul) instead of materializing one raised temporary
-     * per diagonal — per non-leading diagonal this replaces a raised
-     * copy + pointwise-mul + add (3 writes + 4 reads per limb) with a
-     * single fused MAC pass (1 write + 3 reads), shrinking the traced
-     * DRAM footprint the trace_validate PtMatVecMult row measures.
-     * Requires hoist_modup && hoist_moddown without double_hoist; other
-     * configurations fall back to apply().
-     */
-    Ciphertext applyFused(const Evaluator& eval, const CkksEncoder& encoder,
-                          const Ciphertext& ct, const GaloisKeys& gks) const;
 
     /** Reference slot-domain evaluation, for testing. */
     std::vector<std::complex<double>>
     applyPlain(const std::vector<std::complex<double>>& x) const;
 
-    const MatVecOptions& options() const { return opts; }
     size_t numDiagonals() const { return diags.size(); }
     /** Plaintext encoding scale apply() uses (the virtual backend mirrors
      *  the resulting output scale: in.scale * ptScale() / q_top). */
@@ -78,11 +54,6 @@ class LinearTransform
     double maxDiagonalMagnitude() const;
 
   private:
-    Ciphertext applyNaive(const Evaluator& eval, const CkksEncoder& encoder,
-                          const Ciphertext& ct, const GaloisKeys& gks) const;
-    Ciphertext applyBsgs(const Evaluator& eval, const CkksEncoder& encoder,
-                         const Ciphertext& ct, const GaloisKeys& gks) const;
-
     size_t babySteps() const;
 
     std::shared_ptr<const CkksContext> ctx;

@@ -132,11 +132,7 @@ GraphExecutor::run(const Graph& g,
         case OpKind::PtMatVecMult:
             MAD_REQUIRE(gks_ != nullptr,
                         "graph PtMatVecMult needs Galois keys");
-            out.push_back(nd.fused
-                              ? backend_.matVecFused(*nd.transform, arg(0),
-                                                     *gks_)
-                              : backend_.matVec(*nd.transform, arg(0),
-                                                *gks_));
+            out.push_back(backend_.matVec(*nd.transform, arg(0), *gks_));
             break;
         case OpKind::KeySwitch: {
             const auto* rb = dynamic_cast<const RealBackend*>(&backend_);

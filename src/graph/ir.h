@@ -96,8 +96,6 @@ struct Node
     bool rescale_after = false;
     /** Mult: execute the merged-ModDown path (relin + rescale fused). */
     bool merged = false;
-    /** PtMatVecMult: use the limb-fused BSGS accumulation. */
-    bool fused = false;
 
     /** Per-output metadata, filled by inferShapes(). */
     std::vector<ValueMeta> meta;

@@ -146,23 +146,6 @@ hoistRotations(Graph& g, PassStats& stats)
     }
 }
 
-void
-fuseMatVec(Graph& g, PassStats& stats)
-{
-    for (u32 id = 0; id < g.size(); ++id) {
-        Node& n = g.node(id);
-        if (n.kind != OpKind::PtMatVecMult || n.fused)
-            continue;
-        // applyFused covers the hoisted single-ModDown-per-giant BSGS
-        // configuration; other option combinations keep apply().
-        const MatVecOptions& o = n.transform->options();
-        if (o.hoist_modup && o.hoist_moddown && !o.double_hoist) {
-            n.fused = true;
-            ++stats.matvecs_fused;
-        }
-    }
-}
-
 size_t
 pruneDead(Graph& g)
 {
@@ -224,9 +207,9 @@ runPasses(Graph& g, const CkksContext& ctx, PassOptions opts)
     placeRescales(g, opts.merge_moddown, stats);
     if (opts.hoist_rotations)
         hoistRotations(g, stats);
-    if (opts.fuse_matvec)
-        fuseMatVec(g, stats);
     stats.nodes_pruned = pruneDead(g);
+    for (u32 id = 0; id < g.size(); ++id)
+        stats.matvecs_fused += g.node(id).kind == OpKind::PtMatVecMult;
     inferShapes(g, ctx);
     return stats;
 }

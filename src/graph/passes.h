@@ -13,18 +13,18 @@
  *   3. hoistRotations  — collapse N >= 2 Rotate nodes sharing a source
  *                        into one HoistedRotation (one Decomp+ModUp via
  *                        Evaluator::rotateHoisted instead of N).
- *   4. fuseMatVec      — mark PtMatVecMult nodes for the limb-fused
- *                        BSGS accumulation (LinearTransform::applyFused)
- *                        when the transform's hoisting options allow it.
- *   5. pruneDead       — drop nodes unreachable from the outputs
+ *   4. pruneDead       — drop nodes unreachable from the outputs
  *                        (Input nodes are always kept: run() binding is
  *                        positional).
+ *
+ * PtMatVecMult nodes need no pass: LinearTransform::apply has a single
+ * (limb-fused BSGS) schedule.
  *
  * Pass invariant: with all passes enabled, executing the graph is
  * byte-identical to the imperative schedule it was built from, because
  * every rewrite maps onto an Evaluator path that is itself
  * byte-identical (merged ModDown, rotateHoisted for same-source
- * rotations, applyFused).
+ * rotations).
  */
 #ifndef MADFHE_GRAPH_PASSES_H
 #define MADFHE_GRAPH_PASSES_H
@@ -41,7 +41,6 @@ struct PassOptions
      *  explicit Rescale nodes, the unmerged two-pass pipeline). */
     bool merge_moddown = true;
     bool hoist_rotations = true;
-    bool fuse_matvec = true;
 };
 
 struct PassStats
@@ -51,7 +50,7 @@ struct PassStats
     size_t moddowns_merged = 0;  ///< Mults resolved to merged ModDown
     size_t rotations_hoisted = 0; ///< Rotate nodes folded into groups
     size_t hoist_groups = 0;     ///< HoistedRotation nodes created
-    size_t matvecs_fused = 0;    ///< PtMatVecMult nodes marked fused
+    size_t matvecs_fused = 0;    ///< live PtMatVecMult nodes (all fused)
     size_t nodes_pruned = 0;     ///< dead nodes removed
 };
 

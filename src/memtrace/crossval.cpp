@@ -401,15 +401,17 @@ runCrossValidation(const CrossValConfig& cfg)
                          .ptMatVecMult(L, cfg.diagonals);
         // The model's hoisted schedule assumes the paper's limb-major
         // fusion (digits read once, per-giant accumulators never
-        // spilled); the implementation materializes one RaisedCiphertext
-        // per baby step and copies it per diagonal, so it moves ~3.8x the
-        // modeled bytes. The band is centered on that known gap: a ratio
-        // below it means someone implemented the fusion (retune), above
-        // it means a traffic regression.
+        // spilled). The implementation accumulates each giant step with
+        // in-place raised MACs but still materializes one
+        // RaisedCiphertext per baby step, so it moves ~2.85x the modeled
+        // bytes. A copy-per-diagonal accumulation (raised copy + product
+        // + add per diagonal) reads ~3.21x, so tol_hi sits between the
+        // two: reintroducing it fails here. A ratio below tol_lo means
+        // the baby products stopped spilling (retune).
         c.tol_lo = 2.5;
-        c.tol_hi = 5.5;
-        c.note = "implementation is not limb-major fused: per-baby raised "
-                 "products spill and re-load (expected ratio ~3.8)";
+        c.tol_hi = 3.0;
+        c.note = "baby-step raised products spill and re-load; giant "
+                 "steps accumulate in place (observed ~2.85)";
         report.primitives.push_back(std::move(c));
     }
 
@@ -480,12 +482,12 @@ runCrossValidation(const CrossValConfig& cfg)
         // Two structural gaps stack here: the executable EvalMod runs two
         // independent degree-71 Chebyshev evaluations (~2x the model's
         // shared 9-level/22-mult schedule) and the DFT PtMatVecMults
-        // carry the ~3.8x fusion gap above. Observed ~5.7.
+        // carry the baby-step spill gap above. Observed ~5.5.
         c.tol_lo = 3.0;
         c.tol_hi = 9.0;
         c.note = "EvalMod schedule mismatch (2x degree-71 Chebyshev vs "
-                 "fixed 9-level model) on top of the matvec fusion gap "
-                 "(expected ratio ~5.7)";
+                 "fixed 9-level model) on top of the matvec baby-step "
+                 "spill gap (observed ~5.5)";
         report.primitives.push_back(std::move(c));
     }
 
@@ -551,9 +553,7 @@ PolicySweepReport::format() const
 bool
 GraphFusionReport::ok() const
 {
-    return matvec_imperative > 0 && matvec_fused > 0 &&
-           matvec_analytic > 0 && matvec_fused < matvec_imperative &&
-           rotations_hoisted == rotations && rotations >= 2 &&
+    return rotations_hoisted == rotations && rotations >= 2 &&
            modups_unhoisted == rotations && modups_hoisted == 1;
 }
 
@@ -562,16 +562,7 @@ GraphFusionReport::format() const
 {
     std::ostringstream os;
     os << std::fixed << std::setprecision(1);
-    os << "PtMatVecMult DRAM: imperative " << kb(matvec_imperative)
-       << " KB, graph-fused " << kb(matvec_fused) << " KB, analytic "
-       << kb(matvec_analytic) << " KB\n";
-    os << std::setprecision(3) << "  traced/analytic ratio: "
-       << imperativeRatio() << " (imperative) -> " << fusedRatio()
-       << " (fused) -- "
-       << (matvec_fused < matvec_imperative ? "gap shrinks"
-                                            : "NO IMPROVEMENT")
-       << "\n";
-    os << std::setprecision(1) << "Hoisted rotations: " << rotations_hoisted
+    os << "Hoisted rotations: " << rotations_hoisted
        << "/" << rotations << " collapsed; Decomp+ModUp runs "
        << modups_unhoisted << " -> " << modups_hoisted << " -- "
        << (modups_hoisted == 1 && modups_unhoisted == rotations
@@ -581,7 +572,7 @@ GraphFusionReport::format() const
     os << "  DRAM (materializing policy, informational): "
        << kb(rotate_unhoisted) << " KB (unhoisted) vs "
        << kb(rotate_hoisted) << " KB (hoisted)\n";
-    os << "graph fusion: " << (ok() ? "ok" : "FAILED") << "\n";
+    os << "graph hoisting: " << (ok() ? "ok" : "FAILED") << "\n";
     return os.str();
 }
 
@@ -591,52 +582,14 @@ runGraphFusion(const CrossValConfig& cfg)
     GraphFusionReport rep;
     const ReplayConfig rc =
         scaledReplayConfig(cfg.params, cfg.cache_limbs, cfg.policy);
-    const simfhe::SchemeConfig scheme = matchedScheme(cfg.params);
-    const simfhe::CacheConfig cache{
-        static_cast<double>(cfg.cache_limbs) * scheme.limbBytes()};
-
     CkksStack stack(cfg.params);
     const size_t L = stack.ctx->maxLevel();
     ScopedStreamPolicy sp(cfg.stream_policy);
 
     const std::vector<int> hoist_steps = {1, 2, 3, 4};
-
-    std::map<int, std::vector<std::complex<double>>> diags;
-    for (size_t d = 0; d < cfg.diagonals; ++d)
-        diags[static_cast<int>(d)] =
-            randomSlots(stack.ctx->slots(), 40 + static_cast<u64>(d));
-    LinearTransform lt(stack.ctx, std::move(diags), stack.ctx->scale());
-
     KeyGenerator keygen(stack.ctx);
-    std::vector<int> key_steps = lt.requiredRotations();
-    key_steps.insert(key_steps.end(), hoist_steps.begin(), hoist_steps.end());
-    GaloisKeys gks = keygen.galoisKeys(stack.sk, key_steps, false);
-
+    GaloisKeys gks = keygen.galoisKeys(stack.sk, hoist_steps, false);
     RealBackend backend(stack.ctx);
-    Ciphertext ct = stack.encryptRandom(41, L);
-
-    // --- PtMatVecMult: imperative apply vs graph-fused ------------------
-    rep.matvec_imperative =
-        traceAndReplay(
-            [&] { (void)lt.apply(*stack.eval, *stack.encoder, ct, gks); },
-            "PtMatVecMult", rc)
-            .bytes();
-    {
-        graph::GraphBuilder b;
-        b.output(b.matVec(b.input(L, ct.scale), &lt));
-        graph::Graph g = b.build();
-        graph::runPasses(g, *stack.ctx);
-        graph::GraphExecutor exec(backend, &stack.rlk, &gks);
-        rep.matvec_fused =
-            traceAndReplay([&] { (void)exec.run(g, {ct}); }, "PtMatVecMult",
-                           rc)
-                .bytes();
-    }
-    simfhe::Optimizations hoist = simfhe::Optimizations::none();
-    hoist.moddown_hoist = true;
-    rep.matvec_analytic = simfhe::CostModel(scheme, cache, hoist)
-                              .ptMatVecMult(L, cfg.diagonals)
-                              .bytes();
 
     // --- Hoisted rotations: same graph, pass off vs on ------------------
     // The structural claim: the per-rotate path decomposes the source N
@@ -684,6 +637,7 @@ runGraphFusion(const CrossValConfig& cfg)
     {
         graph::Graph g = buildRotations(false);
         graph::GraphExecutor exec(backend, &stack.rlk, &gks);
+        (void)exec.run(g, {rct}); // untraced: fill the lazy caches first
         traceRun([&] { (void)exec.run(g, {rct}); }, &rep.modups_unhoisted,
                  &rep.rotate_unhoisted);
     }

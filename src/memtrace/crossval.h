@@ -158,29 +158,20 @@ struct PolicySweepReport
 PolicySweepReport runPolicySweep(const CrossValConfig& cfg);
 
 /**
- * The graph-mode comparison (trace_validate --graph): the same
- * PtMatVecMult executed imperatively (LinearTransform::apply — each
- * diagonal copies the raised baby ciphertext, multiplies, adds) and
- * through the evaluation-graph executor with the fusion pass enabled
- * (applyFused — in-place raised MACs, one write + three reads per limb
- * per non-leading diagonal), both traces replayed under the same scaled
- * cache. Fusion must strictly reduce the traced DRAM bytes, closing part
- * of the ~3.8x traced/analytic gap the imperative band documents. A
- * second check demonstrates the hoisted-rotation pass: N same-source
- * rotations pay N Decomp+ModUps on the per-rotate path but exactly one
- * through the graph's HoistedRotation group. The ModUp count is the
- * structural claim (it is also the NTT/compute saving); the DRAM totals
- * are reported for context but not gated — at reduced parameters the
- * per-step digit automorphs offset the saved conversions, and under
- * streaming policies the per-rotate path never materializes digits at
- * all. Both rotation runs execute under the materializing (Off) policy
- * so the Decomp+ModUp scopes are observable in the trace.
+ * The graph-mode check (trace_validate --graph): the hoisted-rotation
+ * pass. N same-source rotations pay N Decomp+ModUps on the per-rotate
+ * path but exactly one through the graph's HoistedRotation group. The
+ * ModUp count is the structural claim (it is also the NTT/compute
+ * saving); the DRAM totals are reported for context but not gated — at
+ * reduced parameters the per-step digit automorphs offset the saved
+ * conversions, and under streaming policies the per-rotate path never
+ * materializes digits at all. Both rotation runs execute under the
+ * materializing (Off) policy so the Decomp+ModUp scopes are observable
+ * in the trace. (PtMatVecMult has a single limb-fused schedule; its
+ * traffic is gated by the runCrossValidation row.)
  */
 struct GraphFusionReport
 {
-    double matvec_imperative = 0; ///< PtMatVecMult DRAM bytes, lt.apply
-    double matvec_fused = 0;      ///< PtMatVecMult DRAM bytes, graph-fused
-    double matvec_analytic = 0;   ///< hoisted-model prediction
     size_t rotations = 0;         ///< same-source rotation count
     size_t rotations_hoisted = 0; ///< rotations the pass collapsed
     size_t modups_unhoisted = 0;  ///< Decomp+ModUp runs, per-rotate path
@@ -188,14 +179,6 @@ struct GraphFusionReport
     double rotate_unhoisted = 0;  ///< total DRAM bytes, N plain rotates
     double rotate_hoisted = 0;    ///< total DRAM bytes, hoisted group
 
-    double imperativeRatio() const
-    {
-        return matvec_analytic > 0 ? matvec_imperative / matvec_analytic : 0;
-    }
-    double fusedRatio() const
-    {
-        return matvec_analytic > 0 ? matvec_fused / matvec_analytic : 0;
-    }
     bool ok() const;
     std::string format() const;
 };

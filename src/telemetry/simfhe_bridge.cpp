@@ -29,17 +29,18 @@ constexpr CalibEntry kCalib[] = {
     // Bootstrap stages: measured under the default limb-streaming
     // policy (MADFHE_STREAM=full), model at the matching allCaching
     // opts.
-    {"Bootstrap", 6.68},
+    {"Bootstrap", 6.41},
     {"Bootstrap/ModRaise", 3.40},
-    {"Bootstrap/CoeffToSlot", 7.37},
+    {"Bootstrap/CoeffToSlot", 6.68},
     {"Bootstrap/EvalMod", 5.98},
-    {"Bootstrap/SlotToCoeff", 8.39},
+    {"Bootstrap/SlotToCoeff", 7.90},
     // Primitives: measured at the materializing baseline
-    // (MADFHE_STREAM=off, model opts none).
+    // (MADFHE_STREAM=off, model opts none). PtMatVecMult: 8 diagonals at
+    // the top level of the boot_profile parameters (N = 2^11, 21 limbs).
     {"KeySwitch", 1.53},
     {"Mult", 1.99},
     {"Rotate", 1.45},
-    {"PtMatVecMult", 5.91},
+    {"PtMatVecMult", 5.28},
 };
 
 /**
@@ -67,7 +68,7 @@ executedOpts()
         break;
     }
     o.moddown_merge = true; // Evaluator::mul defaults to merged ModDown
-    o.moddown_hoist = true; // MatVecOptions default hoisting
+    o.moddown_hoist = true; // LinearTransform::apply: one ModDown per giant
     return o;
 }
 

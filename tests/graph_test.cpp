@@ -407,31 +407,6 @@ TEST(GraphMatVec, FusedGraphMatVecByteIdenticalToApply)
     }
 }
 
-TEST(GraphMatVec, FusionPassRespectsTransformOptions)
-{
-    CkksParams p;
-    p.log_n = 10;
-    p.log_scale = 34;
-    p.first_prime_bits = 46;
-    p.num_levels = 5;
-    p.dnum = 2;
-    auto ctx = std::make_shared<CkksContext>(p);
-
-    MatVecOptions naive;
-    naive.hoist_moddown = false;
-    std::map<int, std::vector<std::complex<double>>> diags;
-    for (int d = 0; d < 4; ++d)
-        diags[d] = randomSlots(ctx->slots(), 50 + static_cast<u64>(d));
-    LinearTransform lt(ctx, std::move(diags), ctx->scale(), naive);
-
-    graph::GraphBuilder b;
-    b.output(b.matVec(b.input(ctx->maxLevel(), ctx->scale()), &lt));
-    graph::Graph g = b.build();
-    const graph::PassStats st = graph::runPasses(g, *ctx);
-    // Unhoisted transforms cannot take the fused path.
-    EXPECT_EQ(st.matvecs_fused, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // App schedules through the IR
 // ---------------------------------------------------------------------------
